@@ -15,15 +15,17 @@ Cell forms added on top of the concrete ones:
 
 Registers and structure slots never hold a bare ``abs`` cell: they hold a
 ``('ref', addr)`` to it, so instantiation is visible everywhere.  The
-helpers here enforce that invariant.
+helpers here enforce that invariant.  They also walk heap terms for the
+layers above: list spines, ground summaries and share points.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from ..domain.lattice import (
     EMPTY_T,
+    GROUND_SORTS,
     NIL_T,
     Tree,
     tree_is_ground,
@@ -118,59 +120,145 @@ def constant_tree(constant) -> Tree:
     raise AnalysisError(f"not a constant: {constant!r}")
 
 
-def cell_summary(heap: Heap, cell: Cell, _visiting: Optional[set] = None) -> AbsSort:
+def slot_cell(heap: Heap, address: int) -> Cell:
+    """The cell stored at ``address``, by reference when it is abstract,
+    so instance identity (sharing) is preserved."""
+    cell = heap.cells[address]
+    if cell[0] == ABS:
+        return (REF, address)
+    return cell
+
+
+def walk_spine(heap: Heap, cell: Cell):
+    """Walk a list spine: (is_proper, element_cells, tail_elem_tree,
+    tail_address) — the last two describe the abstract list cell ending
+    a proper spine, and are None when it ends in ``[]``."""
+    elements: List[Cell] = []
+    seen: Set[int] = set()
+    current = cell
+    address = None
+    while True:
+        if current[0] == LIS:
+            base = current[1]
+            if base in seen:
+                return False, elements, None, None  # cyclic spine
+            seen.add(base)  # type: ignore[arg-type]
+            elements.append(slot_cell(heap, base))  # type: ignore[arg-type]
+            current, address = deref(heap, slot_cell(heap, base + 1))  # type: ignore[operator]
+            continue
+        if current == (CON, NIL):
+            return True, elements, None, None
+        if current[0] == ABS and current[1][0] == AbsSort.LIST:  # type: ignore[index]
+            return True, elements, current[1][1], address  # type: ignore[index]
+        return False, elements, None, None
+
+
+def cells_ground(
+    heap: Heap,
+    cells,
+    points: Set[int],
+    survey=None,
+    inside: bool = False,
+    path: FrozenSet[int] = frozenset(),
+) -> bool:
+    """Are the terms ``cells`` all ground?  Walks them to the bottom.
+
+    Collects into ``points`` the addresses of their possibly-unbound
+    cells: free variables and non-ground abstract cells (a summarized
+    list with non-ground elements is one point, since its elements are
+    not addressable).  Cyclic terms are not ground.
+
+    ``survey``, when given, is told of every addressed cell reached —
+    ``survey.count(address, tag, inside)`` — and answers whether that
+    cell's children still count; ``inside`` says whether the cells sit
+    in a proper list spine (see :mod:`repro.analysis.patterns`).
+    """
+    ground = True
+    for cell in cells:
+        cell, address = deref(heap, cell)
+        tag = cell[0]
+        counted = survey
+        if address is not None:
+            if address in path:
+                ground = False  # cyclic term
+                continue
+            if survey is not None and not survey.count(address, tag, inside):
+                counted = None
+        if tag == REF:
+            points.add(address)  # type: ignore[arg-type]
+            ground = False
+        elif tag == ABS:
+            sort, elem = cell[1]  # type: ignore[misc]
+            if sort == AbsSort.LIST:
+                leaf_ground = tree_is_ground(elem)
+            else:
+                leaf_ground = sort in GROUND_SORTS
+            if not leaf_ground:
+                points.add(address)  # type: ignore[arg-type]
+                ground = False
+        elif tag != CON:
+            inner = path if address is None else path | {address}
+            ground = _compound_ground(heap, cell, points, counted, inside, inner) and ground
+    return ground
+
+
+def _compound_ground(
+    heap: Heap,
+    cell: Cell,
+    points: Set[int],
+    survey,
+    inside: bool,
+    path: FrozenSet[int],
+) -> bool:
+    """:func:`cells_ground` of a list or structure's arguments; a proper
+    list spine, when surveyed, stands for its elements."""
+    base = cell[1]
+    if cell[0] == STR:
+        arity = heap.cells[base][1][1]  # type: ignore[index]
+        slots = [slot_cell(heap, base + 1 + i) for i in range(arity)]  # type: ignore[operator]
+        return cells_ground(heap, slots, points, survey, inside, path)
+    if survey is not None:
+        proper, elements, tail_elem, tail_address = walk_spine(heap, cell)
+        if proper:
+            tail_ground = tail_elem is None or tree_is_ground(tail_elem)
+            if not tail_ground:
+                points.add(tail_address)
+            return cells_ground(heap, elements, points, survey, True, path) and tail_ground
+    slots = [slot_cell(heap, base), slot_cell(heap, base + 1)]  # type: ignore[arg-type,operator]
+    return cells_ground(heap, slots, points, survey, inside, path)
+
+
+def cell_summary(heap: Heap, cell: Cell) -> AbsSort:
     """The most precise simple sort containing the term rooted at ``cell``.
 
-    Used by the depth restriction to summarize deep subterms, and by the
-    abstract builtins for type tests.  Cyclic heap terms (created by
-    occurs-check-free unification) summarize to ``nv``.
+    Used by the abstract builtins for type tests.  Cyclic heap terms
+    (created by occurs-check-free unification) summarize to ``nv``.
     """
-    if _visiting is None:
-        _visiting = set()
     cell, address = deref(heap, cell)
-    if address is not None:
-        if address in _visiting:
-            return AbsSort.NV
-        _visiting = _visiting | {address}
     tag = cell[0]
     if tag == REF:
         return AbsSort.VAR
     if tag == ABS:
         sort, elem = cell[1]  # type: ignore[misc]
         if sort == AbsSort.LIST:
-            assert elem is not None
             return AbsSort.GROUND if tree_is_ground(elem) else AbsSort.NV
         return sort
     if tag == CON:
-        constant = cell[1]
-        if constant == NIL:
+        if isinstance(cell[1], Atom):
             return AbsSort.ATOM
-        if isinstance(constant, Atom):
-            return AbsSort.ATOM
-        if isinstance(constant, Int):
+        if isinstance(cell[1], Int):
             return AbsSort.INTEGER
         return AbsSort.CONST
-    if tag == LIS:
-        address = cell[1]
-        parts = [
-            cell_summary(heap, heap.cells[address], _visiting),  # type: ignore[index]
-            cell_summary(heap, heap.cells[address + 1], _visiting),  # type: ignore[index]
-        ]
-        return _compound_summary(parts)
-    if tag == STR:
-        functor_address = cell[1]
-        arity = heap.cells[functor_address][1][1]  # type: ignore[index]
-        parts = [
-            cell_summary(heap, heap.cells[functor_address + 1 + i], _visiting)  # type: ignore[index]
-            for i in range(arity)
-        ]
-        return _compound_summary(parts)
-    raise AnalysisError(f"cannot summarize cell {cell}")
+    path = frozenset() if address is None else frozenset({address})
+    ground = _compound_ground(heap, cell, set(), None, False, path)
+    return AbsSort.GROUND if ground else AbsSort.NV
 
 
-def _compound_summary(part_sorts) -> AbsSort:
-    from ..domain.sorts import sort_is_ground
+def collect_share_points(heap: Heap, cell: Cell, into: Set[int]) -> None:
+    """Addresses of possibly-unbound cells reachable from ``cell``.
 
-    if all(sort_is_ground(sort) for sort in part_sorts):
-        return AbsSort.GROUND
-    return AbsSort.NV
+    Ground cells are excluded — sharing a ground subterm cannot transmit
+    bindings.  Summarized lists with non-ground elements count as one
+    share point (their elements are not individually addressable).
+    """
+    cells_ground(heap, [cell], into)

@@ -29,7 +29,15 @@ from ..domain.sorts import AbsSort
 from ..errors import AnalysisError
 from ..prolog.terms import NIL, Indicator
 from ..wam.cells import CON, FUN, LIS, REF, STR, Cell, Heap
-from .aheap import ABS, abs_tree, constant_tree, deref, make_abs
+from .aheap import (
+    ABS,
+    abs_tree,
+    collect_share_points,
+    constant_tree,
+    deref,
+    make_abs,
+    slot_cell,
+)
 
 
 def complex_term_inst(
@@ -85,18 +93,10 @@ def _functor_of(heap: Heap, cell: Cell) -> Indicator:
     return heap.cells[cell[1]][1]  # type: ignore[index]
 
 
-def _slot_cell(heap: Heap, address: int) -> Cell:
-    """The cell stored at ``address``, by reference when it is mutable."""
-    cell = heap.cells[address]
-    if cell[0] == ABS:
-        return (REF, address)
-    return cell
-
-
 def _struct_args(heap: Heap, cell: Cell) -> List[Cell]:
     _, arity = _functor_of(heap, cell)
     base = cell[1] if cell[0] == LIS else cell[1] + 1  # type: ignore[operator]
-    return [_slot_cell(heap, base + i) for i in range(arity)]
+    return [slot_cell(heap, base + i) for i in range(arity)]
 
 
 def s_unify(heap: Heap, left: Cell, right: Cell) -> bool:
@@ -257,10 +257,8 @@ def register_growth_sharing(heap: Heap, source_address: int, instance: Cell) -> 
     the copies materialized at different call sites of one success
     pattern) may alias each other at run time.  Putting every non-ground
     component into the source's sharing class makes that possibility
-    visible to :func:`repro.analysis.patterns.cell_share_pairs`.
+    visible to :func:`repro.analysis.patterns.share_point_pairs`.
     """
-    from .patterns import collect_share_points  # circular at module load
-
     points: set = set()
     for slot in _struct_args(heap, instance):
         collect_share_points(heap, slot, points)

@@ -35,7 +35,7 @@ from ..wam.cells import CON, LIS, REF, STR, Cell
 from ..wam.compile import CompiledProgram, HALT_ADDRESS, PROCEED_ADDRESS
 from ..wam.instructions import Instr
 from ..wam.machine import Machine
-from .aheap import ABS, deref
+from .aheap import ABS, collect_share_points, deref
 from .aunify import (
     _growth_can_share,
     complex_term_inst,
@@ -44,11 +44,11 @@ from .aunify import (
 )
 from .patterns import (
     Pattern,
+    abstract_args,
     abstract_cells,
-    cell_share_pairs,
-    collect_share_points,
     materialize_pattern,
     pattern_subsumes,
+    share_point_pairs,
 )
 from .table import ExtensionTable, TableEntry
 
@@ -235,9 +235,7 @@ class AbstractMachine(Machine):
                 "analysis.predicate.calls", pred=format_indicator(indicator)
             ).inc()
         args = tuple(self.x[1 : arity + 1])
-        calling = abstract_cells(
-            self.heap, list(args), self.depth, self.list_aware
-        )
+        calling = abstract_cells(self.heap, args, self.depth, self.list_aware)
         if self.tracer is not None:
             self.tracer.event(
                 f"call {format_indicator(indicator)}{calling}"
@@ -368,13 +366,10 @@ class AbstractMachine(Machine):
             # treat as overall success of the pass.
             return "halt"
         frame = self.frames[-1]
-        success = abstract_cells(
-            self.heap, list(frame.materialized), self.depth, self.list_aware
+        success, points = abstract_args(
+            self.heap, frame.materialized, self.depth, self.list_aware
         )
-        if len(frame.materialized) > 1:
-            extra_share = cell_share_pairs(self.heap, frame.materialized)
-        else:
-            extra_share = frozenset()
+        extra_share = share_point_pairs(self.heap, points)
         changed = self.table.update(
             frame.indicator, frame.calling, success, extra_share
         )

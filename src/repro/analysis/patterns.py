@@ -25,33 +25,37 @@ away, which is the sound direction for an over-approximating analysis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..domain.concrete import DEFAULT_DEPTH
 from ..domain.lattice import (
     ANY_T,
+    ATOM_T,
     EMPTY_T,
+    GROUND_SORTS,
+    GROUND_T,
+    NV_T,
+    VAR_T,
     Tree,
     tree_is_ground,
     tree_lub,
     tree_summary_sort,
     tree_to_text,
 )
-from ..domain.sorts import AbsSort, sort_is_ground
+from ..domain.sorts import AbsSort
 from ..errors import AnalysisError
-from ..prolog.terms import NIL, Atom, Float, Int
-from ..wam.cells import CON, LIS, REF, STR, Cell, Heap
-from .aheap import ABS, cell_summary, deref, make_abs
+from ..prolog.terms import NIL
+from ..wam.cells import CON, FUN, LIS, REF, STR, Cell, Heap
+from .aheap import (
+    ABS,
+    cells_ground,
+    constant_tree,
+    deref,
+    make_abs,
+    slot_cell,
+    walk_spine,
+)
 
-
-def _slot(heap: Heap, address: int) -> Cell:
-    """Read a structure slot; abstract cells come back by reference so
-    instance identity (sharing) is preserved."""
-    cell = heap.cells[address]
-    if cell[0] == ABS:
-        return (REF, address)
-    return cell
 
 Node = tuple
 
@@ -59,14 +63,19 @@ Node = tuple
 class Pattern:
     """A canonical abstract argument tuple (immutable, hash cached)."""
 
-    __slots__ = ("args", "_hash")
+    __slots__ = ("args", "_hash", "_share")
 
     def __init__(self, args: Tuple[Node, ...]):
         self.args = args
         self._hash = hash(args)
+        self._share: Optional[FrozenSet[Tuple[int, int]]] = None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Pattern) and other.args == self.args
+        return other is self or (
+            isinstance(other, Pattern)
+            and other._hash == self._hash
+            and other.args == self.args
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -83,103 +92,7 @@ class Pattern:
 
 
 # ----------------------------------------------------------------------
-# Tree abstraction of a heap term (no sharing info).
-
-def tree_of_cell(
-    heap: Heap,
-    cell: Cell,
-    depth: int = DEFAULT_DEPTH,
-    _path: Optional[Set[int]] = None,
-    widen: Optional[Set[int]] = None,
-) -> Tree:
-    """The type tree of the term rooted at ``cell``, depth-restricted.
-
-    ``widen`` holds variable addresses with hidden aliases (see
-    :func:`_survey_hidden_aliases`): they abstract to ``any``.
-    """
-    if _path is None:
-        _path = set()
-    if widen is None:
-        widen = frozenset()
-    cell, address = deref(heap, cell)
-    if address is not None:
-        if address in _path:
-            return ANY_T  # cyclic term: give up precisely but soundly
-        _path = _path | {address}
-    tag = cell[0]
-    if tag == REF:
-        if address in widen:
-            return ("s", AbsSort.ANY)
-        return ("s", AbsSort.VAR)
-    if tag == ABS:
-        sort, elem = cell[1]  # type: ignore[misc]
-        if sort == AbsSort.LIST:
-            assert elem is not None
-            return ("l", clip_tree(elem, depth - 1))
-        return ("s", sort)
-    if tag == CON:
-        return _constant_leaf_tree(cell[1])
-    if depth <= 0:
-        return ("s", cell_summary(heap, cell))
-    if tag == LIS:
-        proper, elements, tail_elem = _walk_spine(heap, cell, _path)
-        if proper:
-            elem = tail_elem if tail_elem is not None else EMPTY_T
-            for element in elements:
-                elem = tree_lub(
-                    elem, tree_of_cell(heap, element, depth - 1, _path, widen)
-                )
-            return ("l", elem)
-        head_cell = _slot(heap, cell[1])  # type: ignore[arg-type]
-        tail_cell = _slot(heap, cell[1] + 1)  # type: ignore[arg-type]
-        return (
-            "f",
-            ".",
-            2,
-            (
-                tree_of_cell(heap, head_cell, depth - 1, _path, widen),
-                tree_of_cell(heap, tail_cell, depth - 1, _path, widen),
-            ),
-        )
-    assert tag == STR
-    name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-    args = tuple(
-        tree_of_cell(heap, _slot(heap, cell[1] + 1 + i), depth - 1, _path, widen)  # type: ignore[arg-type]
-        for i in range(arity)
-    )
-    return ("f", name, arity, args)
-
-
-def _constant_leaf_tree(constant) -> Tree:
-    if constant == NIL:
-        return ("l", EMPTY_T)
-    if isinstance(constant, Atom):
-        return ("s", AbsSort.ATOM)
-    if isinstance(constant, Int):
-        return ("s", AbsSort.INTEGER)
-    return ("s", AbsSort.CONST)
-
-
-def _walk_spine(heap: Heap, cell: Cell, path: Set[int]):
-    """Walk a list spine: (is_proper, element_cells, tail_elem_tree)."""
-    elements: List[Cell] = []
-    seen: Set[int] = set()
-    current = cell
-    while True:
-        if current[0] == LIS:
-            address = current[1]
-            if address in seen:
-                return False, elements, None  # cyclic spine
-            seen.add(address)  # type: ignore[arg-type]
-            elements.append(_slot(heap, address))  # type: ignore[arg-type]
-            current, _ = deref(heap, _slot(heap, address + 1))  # type: ignore[arg-type]
-            continue
-        if current == (CON, NIL):
-            return True, elements, None
-        if current[0] == ABS and current[1][0] == AbsSort.LIST:  # type: ignore[index]
-            return True, elements, current[1][1]  # type: ignore[index]
-        return False, elements, None
-
+# Abstraction: heap cells -> canonical pattern, in one walk.
 
 def clip_tree(tree: Tree, depth: int) -> Tree:
     """Depth-restrict an arbitrary type tree.
@@ -204,176 +117,191 @@ def clip_tree(tree: Tree, depth: int) -> Tree:
     )
 
 
-# ----------------------------------------------------------------------
-# Pattern abstraction (with sharing).
-
-def _survey_hidden_aliases(heap: Heap, cells) -> Set[int]:
-    """Free variables whose aliasing a pattern cannot represent.
-
-    List spines are summarized to an element *type* with no instance ids,
-    so a variable cell that occurs inside a summarized spine AND is
-    reachable a second time (inside or outside the spine) has a hidden
-    alias: the pattern must widen it from ``var`` to ``any``, because a
-    binding through the lost alias could instantiate it.  (Non-var
-    abstract sorts are closed under instantiation and need no widening.)
-    """
-    counts: Dict[int, int] = {}
-    in_spine: Set[int] = set()
-    visited: Set[Tuple[int, bool]] = set()
-
-    def walk(cell: Cell, inside: bool, path: FrozenSet[int]) -> None:
-        cell, address = deref(heap, cell)
-        if address is None:
-            tag = cell[0]
-            if tag == LIS:
-                _walk_compound(cell, inside, path)
-            elif tag == STR:
-                _walk_compound(cell, inside, path)
-            return
-        if address in path:
-            return
-        counts[address] = counts.get(address, 0) + 1
-        if cell[0] == REF and inside:
-            in_spine.add(address)
-        if (address, inside) in visited and counts[address] >= 2:
-            return
-        visited.add((address, inside))
-        if cell[0] in (LIS, STR):
-            _walk_compound(cell, inside, path | {address})
-
-    def _walk_compound(cell: Cell, inside: bool, path: FrozenSet[int]) -> None:
-        if cell[0] == LIS:
-            proper, elements, _ = _walk_spine(heap, cell, set(path))
-            if proper:
-                for element in elements:
-                    walk(element, True, path)
-                return
-            walk(_slot(heap, cell[1]), inside, path)  # type: ignore[arg-type]
-            walk(_slot(heap, cell[1] + 1), inside, path)  # type: ignore[arg-type]
-            return
-        name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-        for offset in range(arity):
-            walk(_slot(heap, cell[1] + 1 + offset), inside, path)  # type: ignore[arg-type]
-
-    for cell in cells:
-        walk(cell, False, frozenset())
-    return {
-        address
-        for address in in_spine
-        if counts.get(address, 0) >= 2
-    }
-
-
 class _Abstractor:
+    """One walk over an argument tuple that does three jobs at once.
+
+    * **Canonical nodes.** Instance ids are numbered in first-occurrence
+      DFS order as leaves are built.  Ground leaves always get a fresh id
+      and never enter the address map, so the pattern is already what
+      :func:`canonicalize` would make of it.
+    * **Share points.** ``points`` gathers the current argument's
+      possibly-unbound cells, as
+      :func:`~repro.analysis.aheap.collect_share_points` would.
+    * **Hidden-alias survey.** List spines are summarized to an element
+      *type* with no instance ids, so a free variable reached inside a
+      summarized spine AND reached a second time has a hidden alias: the
+      pattern must widen it from ``var`` to ``any``, because a binding
+      through the lost alias could instantiate it.  (Non-var abstract
+      sorts are closed under instantiation and need no widening.)  With
+      ``survey`` on, every variable reached is counted; a compound is
+      surveyed once per (address, inside-a-spine) context, and later
+      visits are walked but not counted again.  The survey goes on below
+      the depth limit, where the pattern itself only needs to know
+      whether a subterm is ground.
+    """
+
     def __init__(
         self,
         heap: Heap,
-        depth: int,
-        widen: Optional[Set[int]] = None,
         list_aware: bool = True,
+        widen: Set[int] = frozenset(),  # type: ignore[assignment]
     ):
         self.heap = heap
-        self.depth = depth
-        self.ids: Dict[int, int] = {}
-        self.counter = itertools.count(0)
-        self.widen: Set[int] = widen if widen is not None else set()
         self.list_aware = list_aware
+        self.widen = widen
+        self.ids: Dict[int, int] = {}
+        self.counter = itertools.count()
+        self.points: Set[int] = set()
+        self.counts: Dict[int, int] = {}
+        self.in_spine: Set[int] = set()
+        self.surveyed: Set[Tuple[int, bool]] = set()
 
-    def _ident(self, address: Optional[int]) -> int:
-        if address is None:
-            return next(self.counter)
-        existing = self.ids.get(address)
-        if existing is None:
-            existing = next(self.counter)
-            self.ids[address] = existing
-        return existing
+    def args(self, cells, depth: int, survey: bool):
+        """The pattern nodes of ``cells`` and each one's share points."""
+        nodes = []
+        points = []
+        for cell in cells:
+            self.points = set()
+            nodes.append(self.walk(cell, depth, frozenset(), False, survey))
+            points.append(self.points)
+        return tuple(nodes), points
 
-    def node(self, cell: Cell, depth: int, path: FrozenSet[int]) -> Node:
+    def count(self, address: int, tag: str, inside: bool) -> bool:
+        """Count one visit; returns whether the cell's children count."""
+        if tag == REF:
+            self.counts[address] = self.counts.get(address, 0) + 1
+            if inside:
+                self.in_spine.add(address)
+            return False
+        key = (address, inside)
+        if key in self.surveyed:
+            return False
+        self.surveyed.add(key)
+        return True
+
+    def _leaf(self, tree: Tree, address: Optional[int], inside: bool):
+        """A leaf: its type tree inside a spine, else an instance node."""
+        if inside:
+            return tree
+        kind, payload = tree
+        if kind == "s":
+            kind, ground = "i", payload in GROUND_SORTS
+        else:
+            kind, ground = "li", tree_is_ground(payload)
+        if ground or address is None:
+            return (kind, payload, next(self.counter))
+        ident = self.ids.get(address)
+        if ident is None:
+            ident = self.ids[address] = next(self.counter)
+        return (kind, payload, ident)
+
+    def walk(
+        self,
+        cell: Cell,
+        depth: int,
+        path: FrozenSet[int],
+        inside: bool,
+        survey: bool,
+    ):
+        """The pattern node of ``cell``; inside a spine, its type tree."""
         heap = self.heap
-        cell, address = deref(heap, cell)
+        term, address = deref(heap, cell)
         if address is not None and address in path:
-            return ("i", AbsSort.ANY, self._ident(None))
+            return self._leaf(ANY_T, None, inside)  # cyclic term
+        tag = term[0]
+        if tag == REF:
+            if survey:
+                self.count(address, tag, inside)  # type: ignore[arg-type]
+            self.points.add(address)  # type: ignore[arg-type]
+            leaf = ANY_T if address in self.widen else VAR_T
+            return self._leaf(leaf, address, inside)
+        if tag == ABS:
+            sort, elem = term[1]  # type: ignore[misc]
+            if sort == AbsSort.LIST:
+                leaf, ground = ("l", clip_tree(elem, depth - 1)), tree_is_ground(elem)
+            else:
+                leaf, ground = ("s", sort), sort in GROUND_SORTS
+            if not ground:
+                self.points.add(address)  # type: ignore[arg-type]
+            return self._leaf(leaf, address, inside)
+        if tag == CON:
+            if not self.list_aware and term[1] == NIL:
+                # Without list awareness [] is just an atom.
+                return self._leaf(ATOM_T, None, inside)
+            return self._leaf(constant_tree(term[1]), None, inside)
+        if depth <= 0:
+            ground = cells_ground(
+                heap, [cell], self.points, self if survey else None, inside, path
+            )
+            return self._leaf(GROUND_T if ground else NV_T, address, inside)
         if address is not None:
             path = path | {address}
-        tag = cell[0]
-        if tag == REF:
-            if address in self.widen:
-                return ("i", AbsSort.ANY, self._ident(address))
-            return ("i", AbsSort.VAR, self._ident(address))
-        if tag == ABS:
-            sort, elem = cell[1]  # type: ignore[misc]
-            if sort == AbsSort.LIST:
-                assert elem is not None
-                return ("li", clip_tree(elem, depth - 1), self._ident(address))
-            return ("i", sort, self._ident(address))
-        if tag == CON:
-            if not self.list_aware and cell[1] == NIL:
-                # Without list awareness [] is just an atom.
-                return ("i", AbsSort.ATOM, self._ident(address))
-            leaf = _constant_leaf_tree(cell[1])
-            if leaf[0] == "l":
-                return ("li", leaf[1], self._ident(address))
-            return ("i", leaf[1], self._ident(address))
-        if depth <= 0:
-            summary = cell_summary(heap, cell)
-            if summary == AbsSort.VAR and address in self.widen:
-                summary = AbsSort.ANY
-            return ("i", summary, self._ident(address))
+            if survey:
+                survey = self.count(address, tag, inside)
+        base = term[1]
         if tag == LIS:
-            proper, elements, tail_elem = (
-                _walk_spine(heap, cell, set(path))
-                if self.list_aware
-                else (False, [], None)
-            )
-            if proper:
-                elem = tail_elem if tail_elem is not None else EMPTY_T
-                for element in elements:
-                    elem = tree_lub(
-                        elem,
-                        tree_of_cell(
-                            heap, element, depth - 1, set(path), self.widen
-                        ),
-                    )
-                return ("li", elem, self._ident(address))
-            head_cell = _slot(heap, cell[1])  # type: ignore[arg-type]
-            tail_cell = _slot(heap, cell[1] + 1)  # type: ignore[arg-type]
-            return (
-                "f",
-                ".",
-                2,
-                (
-                    self.node(head_cell, depth - 1, path),
-                    self.node(tail_cell, depth - 1, path),
-                ),
-            )
-        assert tag == STR
-        name, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-        args = tuple(
-            self.node(_slot(heap, cell[1] + 1 + i), depth - 1, path)  # type: ignore[arg-type]
+            if self.list_aware:
+                proper, elements, tail_elem, tail_address = walk_spine(heap, term)
+                if proper:
+                    elem = EMPTY_T
+                    if tail_elem is not None:
+                        elem = tail_elem
+                        if not tree_is_ground(tail_elem):
+                            self.points.add(tail_address)
+                    for element in elements:
+                        elem = tree_lub(
+                            elem, self.walk(element, depth - 1, path, True, survey)
+                        )
+                    return self._leaf(("l", elem), address, inside)
+            name, arity, first = ".", 2, base
+        else:
+            (name, arity), first = heap.cells[base][1], base + 1  # type: ignore[index,operator]
+        args = [
+            self.walk(slot_cell(heap, first + i), depth - 1, path, inside, survey)
             for i in range(arity)
-        )
-        return ("f", name, arity, args)
+        ]
+        return ("f", name, arity, tuple(args))
+
+
+def tree_of_cell(heap: Heap, cell: Cell, depth: int = DEFAULT_DEPTH) -> Tree:
+    """The type tree of the term rooted at ``cell``, depth-restricted
+    (no sharing information)."""
+    return _Abstractor(heap).walk(cell, depth, frozenset(), True, False)
+
+
+def abstract_args(
+    heap: Heap,
+    cells,
+    depth: int = DEFAULT_DEPTH,
+    list_aware: bool = True,
+) -> Tuple[Pattern, List[Set[int]]]:
+    """Abstract an argument tuple in one heap walk: its canonical pattern
+    and each argument's share points (see
+    :func:`~repro.analysis.aheap.collect_share_points`).
+
+    The walk widens nothing; only when its survey finds hidden aliases
+    is the tuple abstracted again with them widened to ``any``.  With
+    ``list_aware=False`` (the ablation of the paper's α-list type) proper
+    lists stay depth-limited cons structures and ``[]`` is a plain atom —
+    the precision the paper calls "usually very useful" goes away,
+    measurably — and, nothing being summarized, nothing is surveyed.
+    """
+    walker = _Abstractor(heap, list_aware)
+    nodes, points = walker.args(cells, depth, list_aware)
+    hidden = {var for var in walker.in_spine if walker.counts[var] >= 2}
+    if hidden:
+        nodes, _ = _Abstractor(heap, list_aware, hidden).args(cells, depth, False)
+    return Pattern(nodes), points
 
 
 def abstract_cells(
     heap: Heap,
-    cells: List[Cell],
+    cells,
     depth: int = DEFAULT_DEPTH,
     list_aware: bool = True,
 ) -> Pattern:
-    """Abstract an argument tuple into a canonical pattern.
-
-    With ``list_aware=False`` (the ablation of the paper's α-list type),
-    proper lists are kept as depth-limited cons structures and ``[]`` is a
-    plain atom — the precision the paper calls "usually very useful" goes
-    away, measurably.
-    """
-    widen = _survey_hidden_aliases(heap, cells) if list_aware else set()
-    abstractor = _Abstractor(heap, depth, widen, list_aware=list_aware)
-    nodes = tuple(
-        abstractor.node(cell, depth, frozenset()) for cell in cells
-    )
-    return canonicalize(Pattern(nodes))
+    """Abstract an argument tuple into a canonical pattern."""
+    return abstract_args(heap, cells, depth, list_aware)[0]
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +342,6 @@ def materialize_pattern(heap: Heap, pattern: Pattern) -> List[Cell]:
             address = heap.top
             heap.cells.extend(children)
             return (LIS, address)
-        from ..wam.cells import FUN
-
         functor_address = heap.push((FUN, (name, arity)))
         heap.cells.extend(children)
         return (STR, functor_address)
@@ -453,6 +379,12 @@ def pattern_to_trees(pattern: Pattern) -> Tuple[Tree, ...]:
     return tuple(node_to_tree(node) for node in pattern.args)
 
 
+def _leaf_is_ground(node: Node) -> bool:
+    if node[0] == "i":
+        return node[1] in GROUND_SORTS
+    return tree_is_ground(node[1])
+
+
 def canonicalize(pattern: Pattern) -> Pattern:
     """Renumber instance ids in first-occurrence (DFS) order.
 
@@ -462,15 +394,13 @@ def canonicalize(pattern: Pattern) -> Pattern:
     identical patterns (one annotating ground sharing, one not)
     canonicalize to different values.
     """
-    from ..domain.lattice import tree_is_ground
-
     mapping: Dict[int, int] = {}
     next_free = itertools.count()
 
     def renumber(node: Node) -> Node:
         kind = node[0]
         if kind in ("i", "li"):
-            if tree_is_ground(node_to_tree(node)):
+            if _leaf_is_ground(node):
                 return (kind, node[1], next(next_free))
             ident = node[2]
             new = mapping.get(ident)
@@ -546,15 +476,23 @@ def pattern_subsumes(general: Pattern, specific: Pattern) -> bool:
 
 
 def share_pairs(pattern: Pattern) -> FrozenSet[Tuple[int, int]]:
-    """Argument index pairs that share at least one abstract instance."""
-    by_id: Dict[int, Set[int]] = {}
-    for index, node in enumerate(pattern.args):
-        ids: List[int] = []
-        _collect_ids(node, ids)
-        for ident in ids:
-            by_id.setdefault(ident, set()).add(index)
+    """Argument index pairs that share at least one abstract instance
+    (computed once per pattern)."""
+    if pattern._share is None:
+        by_id: Dict[int, Set[int]] = {}
+        for index, node in enumerate(pattern.args):
+            ids: List[int] = []
+            _collect_ids(node, ids)
+            for ident in ids:
+                by_id.setdefault(ident, set()).add(index)
+        pattern._share = _pairs(by_id.values())
+    return pattern._share
+
+
+def _pairs(groups) -> FrozenSet[Tuple[int, int]]:
+    """Every ordered index pair within each group of positions."""
     pairs: Set[Tuple[int, int]] = set()
-    for positions in by_id.values():
+    for positions in groups:
         ordered = sorted(positions)
         for i, left in enumerate(ordered):
             for right in ordered[i + 1 :]:
@@ -595,62 +533,22 @@ def pattern_to_text(pattern: Pattern) -> str:
     return "(" + ", ".join(render(node) for node in pattern.args) + ")"
 
 
-def collect_share_points(heap: Heap, cell: Cell, into: Set[int]) -> None:
-    """Addresses of possibly-unbound cells reachable from ``cell``.
+def share_point_pairs(heap: Heap, points) -> FrozenSet[Tuple[int, int]]:
+    """Argument pairs whose share points meet in one sharing class.
 
-    Ground cells are excluded — sharing a ground subterm cannot transmit
-    bindings.  Summarized lists with non-ground elements count as one
-    share point (their elements are not individually addressable).
+    ``points`` holds each argument's share points, as
+    :func:`abstract_args` returns them.  Richer than :func:`share_pairs`
+    on the abstracted pattern: sharing *through summarized list
+    elements* is invisible in the pattern (the hidden-alias widening
+    keeps the types sound but drops the pair), yet clients like the
+    And-Parallelism annotator need it.  Addresses are compared modulo the
+    heap's sharing component, which records aliasing introduced by
+    re-materialized summaries (list growth, success patterns).
     """
-    cell, address = deref(heap, cell)
-    tag = cell[0]
-    if tag == REF:
-        into.add(address)  # type: ignore[arg-type]
-        return
-    if tag == ABS:
-        sort, elem = cell[1]  # type: ignore[misc]
-        if sort == AbsSort.LIST:
-            if not tree_is_ground(elem):
-                into.add(address)  # type: ignore[arg-type]
-            return
-        if not sort_is_ground(sort):
-            into.add(address)  # type: ignore[arg-type]
-        return
-    if tag == CON:
-        return
-    if address is not None and address in into:
-        return  # already visited through another path
-    if tag == LIS:
-        collect_share_points(heap, _slot(heap, cell[1]), into)  # type: ignore[arg-type]
-        collect_share_points(heap, _slot(heap, cell[1] + 1), into)  # type: ignore[arg-type]
-        return
-    if tag == STR:
-        _, arity = heap.cells[cell[1]][1]  # type: ignore[index]
-        for offset in range(arity):
-            collect_share_points(heap, _slot(heap, cell[1] + 1 + offset), into)  # type: ignore[arg-type]
-
-
-def cell_share_pairs(heap: Heap, cells) -> FrozenSet[Tuple[int, int]]:
-    """Argument pairs that reach a common possibly-unbound cell.
-
-    Richer than :func:`share_pairs` on the abstracted pattern: sharing
-    *through summarized list elements* is invisible in the pattern (the
-    hidden-alias widening keeps the types sound but drops the pair), yet
-    clients like the And-Parallelism annotator need it.  Addresses are
-    compared modulo the heap's sharing component, which records aliasing
-    introduced by re-materialized summaries (list growth, success
-    patterns).
-    """
+    if sum(1 for arg_points in points if arg_points) < 2:
+        return frozenset()
     reached: Dict[int, Set[int]] = {}
-    for index, cell in enumerate(cells):
-        points: Set[int] = set()
-        collect_share_points(heap, cell, points)
-        for point in points:
+    for index, arg_points in enumerate(points):
+        for point in arg_points:
             reached.setdefault(heap.share_find(point), set()).add(index)
-    pairs: Set[Tuple[int, int]] = set()
-    for indexes in reached.values():
-        ordered = sorted(indexes)
-        for i, left in enumerate(ordered):
-            for right in ordered[i + 1 :]:
-                pairs.add((left, right))
-    return frozenset(pairs)
+    return _pairs(reached.values())

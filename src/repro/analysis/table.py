@@ -149,11 +149,14 @@ class ExtensionTable:
             self._m_updates.inc()
         entry = self.entry(indicator, calling)
         new_share = entry.may_share | share_pairs(success) | extra_share
-        if entry.success is None:
+        previous = entry.success
+        if previous is None:
             merged = success
+        elif previous == success:
+            merged = previous
         else:
-            merged = pattern_lub(entry.success, success)
-        success_changed = merged != entry.success
+            merged = pattern_lub(previous, success)
+        success_changed = merged != previous
         changed = success_changed or new_share != entry.may_share
         if changed:
             # A lub that strictly grew an existing summary is a widening

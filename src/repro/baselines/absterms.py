@@ -194,8 +194,8 @@ class AbsStore:
     # Abstraction to canonical patterns.
 
     def _survey_hidden_aliases(self, idents: List[int]):
-        """Same rule as the fast path (see
-        :func:`repro.analysis.patterns._survey_hidden_aliases`): variables
+        """Same rule as the fast path (the survey in
+        :class:`repro.analysis.patterns._Abstractor`): variables
         occurring inside a summarized spine with a second occurrence
         anywhere must widen to ``any``."""
         counts: Dict[int, int] = {}

@@ -42,6 +42,11 @@ ANY_T: Tree = ("s", AbsSort.ANY)
 #: The canonical tree for ``[]``.
 NIL_T: Tree = ("l", EMPTY_T)
 
+#: The simple sorts whose leaf trees are ground (``empty`` vacuously).
+GROUND_SORTS = frozenset(
+    sort for sort in AbsSort if sort <= AbsSort.ANY and sort_is_ground(sort)
+)
+
 
 def make_list_tree(elem: Tree) -> Tree:
     return ("l", elem)
@@ -58,14 +63,12 @@ def is_simple(tree: Tree) -> bool:
 def tree_is_ground(tree: Tree) -> bool:
     """Does the tree denote only ground terms?  (Empty is vacuously ground,
     including composite trees that denote the empty set.)"""
-    if tree_is_empty(tree):
-        return True
     kind = tree[0]
     if kind == "s":
-        return sort_is_ground(tree[1])
+        return tree[1] in GROUND_SORTS
     if kind == "l":
         return tree_is_ground(tree[1])
-    return all(tree_is_ground(arg) for arg in tree[3])
+    return all(tree_is_ground(arg) for arg in tree[3]) or tree_is_empty(tree)
 
 
 def tree_is_empty(tree: Tree) -> bool:

@@ -21,7 +21,6 @@ backtracking on demand.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import MachineError, PrologError
@@ -110,7 +109,6 @@ class Machine:
         self.num_args = 0
         self.max_steps = max_steps
         self.instruction_count = 0
-        self.op_counts: Counter = Counter()
         #: Slots environment trimming would reclaim (see _trim_environment).
         self.trimmed_slots = 0
         self.output: List[str] = []
