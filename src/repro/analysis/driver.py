@@ -189,6 +189,13 @@ class EntryReport:
     status: str = STATUS_EXACT
     iterations: int = 0
     reason: Optional[str] = None
+    #: Serve bookkeeping, not part of :meth:`to_dict`: entries planted
+    #: from a resumed checkpoint, passes of the seeded verification
+    #: sweep (included in ``iterations``) and seeds it dropped as
+    #: unreached.
+    resume_planted: int = 0
+    verification_passes: int = 0
+    seeds_dropped: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -272,34 +279,10 @@ class Analyzer:
         self._state_dumper: Optional[_StateDumper] = None
 
     # ------------------------------------------------------------------
-    # Fine-grained entry points (used by the repro.serve scheduler).
-
-    def reset_state_dumps(self) -> None:
-        """Re-arm the per-run state-dump budget (start of an analyze)."""
-        self._state_dumper = (
-            _StateDumper(self.trace_states)
-            if self.tracer is not None and self.trace_states > 0
-            else None
-        )
 
     def _dump_state(self, table: ExtensionTable, **attrs) -> None:
         if self._state_dumper is not None and self.tracer is not None:
             self._state_dumper.dump(self.tracer, table, **attrs)
-
-    def machine_for(
-        self,
-        table: ExtensionTable,
-        budget: Optional[Budget] = None,
-        fault_plan=None,
-    ) -> AbstractMachine:
-        """An abstract machine over ``table`` with this analyzer's knobs."""
-        return AbstractMachine(
-            self.compiled, table, depth=self.depth,
-            list_aware=self.list_aware, subsumption=self.subsumption,
-            on_undefined=self.on_undefined,
-            budget=budget, fault_plan=fault_plan,
-            metrics=self.metrics,
-        )
 
     def pattern_fixpoint(
         self,
@@ -309,18 +292,20 @@ class Analyzer:
         budget: Optional[Budget] = None,
         fault_plan=None,
         on_pass=None,
+        trace_touches: bool = False,
     ) -> int:
-        """Iterate one calling pattern to a local fixpoint.
+        """The Kleene loop: re-run one calling pattern until a whole pass
+        leaves the machine's table unchanged.
 
-        This is the per-SCC entry point: the serve scheduler stabilizes
-        each strongly connected component bottom-up by iterating its
-        calling patterns here, with the callee components' summaries
-        already frozen in the machine's table.  Returns the number of
-        passes run; charges ``budget`` one iteration per pass.
-        ``on_pass`` (if given) is called with no arguments after every
-        completed pass — the checkpoint trigger hook.
+        Returns the number of passes run; charges ``budget`` one
+        iteration per pass.  ``on_pass`` (if given) is called with no
+        arguments after every completed pass — the checkpoint trigger
+        hook.  With ``trace_touches`` every pass starts a fresh
+        reachability trace, so on return ``machine.table.touched`` holds
+        exactly the keys the converged pass reached.
         """
         table = machine.table
+        label = str(EntrySpec(indicator, pattern))
         iterations = 0
         while True:
             if fault_plan is not None and fault_plan.watches("iteration"):
@@ -332,18 +317,14 @@ class Analyzer:
                 self.metrics.counter("analysis.iterations").inc()
             if self.tracer is not None:
                 self.tracer.event(
-                    "fixpoint_iteration",
-                    pattern=f"{indicator[0]}/{indicator[1]}{pattern}",
-                    pass_number=iterations,
+                    "fixpoint_iteration", pattern=label, pass_number=iterations
                 )
+            if trace_touches:
+                table.begin_touch_trace()
             before = table.changes
             machine.run_pattern(indicator, pattern)
             if self.tracer is not None:
-                self._dump_state(
-                    table,
-                    pattern=f"{indicator[0]}/{indicator[1]}{pattern}",
-                    pass_number=iterations,
-                )
+                self._dump_state(table, pattern=label, pass_number=iterations)
             if on_pass is not None:
                 on_pass()
             if table.changes == before:
@@ -355,22 +336,10 @@ class Analyzer:
         checkpoint=None,
         resume: Optional[dict] = None,
     ) -> AnalysisResult:
-        """Run the fixpoint analysis from the given entry patterns.
+        """Run the fixpoint analysis from the given entry patterns, under
+        this analyzer's budget, fault plan and ``on_budget`` policy.
 
-        ``checkpoint`` is an optional
-        :class:`~repro.robust.checkpoint.CheckpointPolicy`: it is
-        notified after every fixpoint pass (snapshotting on its cadence)
-        and flushed with the pre-widening table when a spec degrades, so
-        the partial work survives the ⊤-widening that follows.
-
-        ``resume`` is an optional checkpoint snapshot dict (already
-        validated with :func:`repro.robust.checkpoint.load` — the
-        *caller* owns matching it against this program/config/entries).
-        Its entries are planted unfrozen into every spec's table — seed
-        plus thaw in one step — which restarts the Kleene iteration from
-        the recorded intermediate iterate.  Intermediate iterates are ⊑
-        the least fixpoint, so the resumed run converges to exactly the
-        result a from-scratch run produces, in fewer passes.
+        ``checkpoint`` and ``resume`` are as for :meth:`run`.
         """
         specs = [parse_entry_spec(entry) for entry in entries]
         if not specs:
@@ -380,64 +349,99 @@ class Analyzer:
             # Preserve the historical max_iterations contract through the
             # same governance path as an explicit budget.
             budget = Budget(max_iterations=self.max_iterations)
+        return self.run(
+            specs, budget=budget, fault_plan=self.fault_plan,
+            on_budget=self.on_budget, checkpoint=checkpoint, resume=resume,
+        )
+
+    def run(
+        self,
+        specs: Sequence[EntrySpec],
+        budget: Budget,
+        seeds: Sequence[tuple] = (),
+        fault_plan=None,
+        on_budget: str = "raise",
+        checkpoint=None,
+        resume: Optional[dict] = None,
+    ) -> AnalysisResult:
+        """Analyze each entry spec in its own table, then merge by lub.
+
+        Per spec: plant the ``resume`` snapshot unfrozen, plant the
+        ``seeds`` — known-final ``(indicator, calling, success,
+        may_share)`` summaries — frozen, and iterate the entry with
+        :meth:`pattern_fixpoint`.  Without seeds that is the whole run.
+        With seeds, a verification sweep follows: thaw the table,
+        re-run the entry until nothing changes, and restrict the table
+        to the keys the last pass reached.  A wrong seed is therefore
+        re-explored and corrected: it can cost passes, never answers.
+
+        ``checkpoint`` is an optional
+        :class:`~repro.robust.checkpoint.CheckpointPolicy`: it is
+        notified after every pass and flushed with the pre-widening
+        table when a spec degrades, so the partial work survives the
+        ⊤-widening that follows.  ``resume`` is a checkpoint snapshot
+        already validated with :func:`repro.robust.checkpoint.load`.
+        Intermediate iterates are ⊑ the least fixpoint, so a resumed run
+        converges to exactly the result a from-scratch run produces, in
+        fewer passes.
+        """
         budget.start()
-        plan = self.fault_plan
         table = ExtensionTable()  # the merged, ungoverned result table
         reports: List[EntryReport] = []
-        iterations = 0
         instructions = 0
         started = time.perf_counter()
         metrics = self.metrics
         tracer = self.tracer
-        self.reset_state_dumps()
+        self._state_dumper = (
+            _StateDumper(self.trace_states)
+            if tracer is not None and self.trace_states > 0
+            else None
+        )
         for spec in specs:
             spec_table = ExtensionTable(
-                budget=budget, fault_plan=plan, metrics=metrics
+                budget=budget, fault_plan=fault_plan, metrics=metrics
             )
+            report = EntryReport(spec)
             if resume is not None:
                 from ..robust.checkpoint import plant
 
-                plant(
-                    resume, spec_table, respect_frozen=False, metrics=metrics
+                report.resume_planted = plant(
+                    resume, spec_table, metrics=metrics
                 )
+            for indicator, calling, success, share in seeds:
+                spec_table.seed(indicator, calling, success, share)
+            touched = spec_table.begin_touch_trace() if seeds else None
             machine = AbstractMachine(
                 self.compiled, spec_table, depth=self.depth,
                 list_aware=self.list_aware, subsumption=self.subsumption,
                 on_undefined=self.on_undefined,
-                budget=budget, fault_plan=plan,
+                budget=budget, fault_plan=fault_plan,
                 metrics=metrics,
             )
-            report = EntryReport(spec)
+            on_pass = None if checkpoint is None else (
+                lambda: checkpoint.note_pass((table, spec_table))
+            )
             spec_started = time.perf_counter()
             if tracer is not None:
-                tracer.begin("entry_spec", spec=str(spec))
+                tracer.begin("entry_spec", spec=str(spec), seeds=len(seeds))
             try:
-                while True:
-                    if plan is not None and plan.watches("iteration"):
-                        plan.fire("iteration")
-                    budget.charge_iteration()
-                    report.iterations += 1
-                    if metrics is not None:
-                        metrics.counter("analysis.iterations").inc()
+                self.pattern_fixpoint(
+                    machine, spec.indicator, spec.pattern,
+                    budget, fault_plan, on_pass,
+                )
+                if seeds:
                     if tracer is not None:
-                        tracer.event(
-                            "fixpoint_iteration",
-                            pass_number=report.iterations,
-                        )
-                    before = spec_table.changes
-                    machine.run_pattern(spec.indicator, spec.pattern)
-                    if tracer is not None:
-                        self._dump_state(
-                            spec_table,
-                            pattern=str(spec),
-                            pass_number=report.iterations,
-                        )
-                    if checkpoint is not None:
-                        checkpoint.note_pass((table, spec_table))
-                    if spec_table.changes == before:
-                        break
+                        tracer.event("verification_sweep")
+                    spec_table.thaw()
+                    report.verification_passes = self.pattern_fixpoint(
+                        machine, spec.indicator, spec.pattern,
+                        budget, fault_plan, on_pass, trace_touches=True,
+                    )
+                    report.seeds_dropped = spec_table.restrict_to(
+                        spec_table.touched
+                    )
             except (BudgetExceeded, InjectedFault) as exc:
-                if self.on_budget == "raise":
+                if on_budget == "raise":
                     if tracer is not None:
                         tracer.end(error=repr(exc))
                     raise
@@ -449,12 +453,14 @@ class Analyzer:
                 report.status = STATUS_DEGRADED
                 report.reason = str(exc)
             except ReproError as exc:
-                if self.on_budget == "raise":
+                if on_budget == "raise":
                     if tracer is not None:
                         tracer.end(error=repr(exc))
                     raise
                 report.status = STATUS_FAILED
                 report.reason = str(exc)
+            spec_table.end_touch_trace()
+            report.iterations = machine.iteration
             if tracer is not None:
                 tracer.end(status=report.status)
             if metrics is not None:
@@ -468,22 +474,23 @@ class Analyzer:
                 # Sound degradation: whatever partial summaries the
                 # interrupted exploration left may under-approximate, so
                 # widen everything this spec touched to ⊤ — including
-                # the entry's own pattern, materialized if need be.
+                # the entry's own pattern, materialized if need be —
+                # after dropping seeds it never consulted.
                 spec_table.disarm()
+                if touched is not None:
+                    spec_table.restrict_to(touched)
                 spec_table.entry(spec.indicator, spec.pattern)
                 spec_table.widen_to_top(report.status)
             table.merge(spec_table)
-            iterations += report.iterations
             instructions += machine.instruction_count
             reports.append(report)
-        elapsed = time.perf_counter() - started
         return AnalysisResult(
             table=table,
             compiled=self.compiled,
-            entries=specs,
-            iterations=iterations,
+            entries=list(specs),
+            iterations=sum(report.iterations for report in reports),
             instructions_executed=instructions,
-            seconds=elapsed,
+            seconds=time.perf_counter() - started,
             depth=self.depth,
             entry_reports=reports,
         )

@@ -245,9 +245,9 @@ class AbstractMachine(Machine):
             existing.frozen or existing.explored_iteration == self.iteration
         ):
             # Already explored (or in progress) in this iteration — or a
-            # frozen summary, known final (seeded from the result store or
-            # stabilized by the SCC scheduler; see repro.serve): return
-            # the recorded summary, or fail if none is known yet.
+            # frozen summary, known final (seeded from the result store;
+            # see repro.serve): return the recorded summary, or fail if
+            # none is known yet.
             if self.tracer is not None:
                 summary = existing.success if existing.success else "no success yet"
                 self.tracer.event(f"  table hit -> {summary}")

@@ -314,10 +314,10 @@ class AnalysisResult:
         """:meth:`to_dict` minus everything that varies between two runs
         that proved the same dataflow facts: timing, pass and instruction
         counts, and the raw calling-pattern list.  The last one is
-        exploration *history*, not a fact — the monolithic driver keeps
+        exploration *history*, not a fact — an unseeded run keeps
         transient patterns recorded before the fixpoint converged (e.g. a
         call seen only while a callee's success was still ⊥-ish), while
-        the SCC-scheduled run restricts its table to fixpoint-reachable
+        a seeded served run restricts its table to fixpoint-reachable
         entries.  The per-argument lattice aggregates (modes, call and
         success types, aliasing, can_succeed) coincide either way, by
         monotonicity: every transient pattern and its recorded success

@@ -43,10 +43,10 @@ class TableEntry:
     #: "exact" normally; "degraded" once widened to ⊤ after an
     #: interrupted exploration (see repro.robust).
     status: str = "exact"
-    #: Frozen entries are known-final summaries (seeded from the result
-    #: store or stabilized bottom-up by the SCC scheduler): the abstract
-    #: machine treats them as explored in *every* pass and never re-runs
-    #: their clauses.  Normal runs never set this (see repro.serve).
+    #: Frozen entries are known-final summaries seeded from the result
+    #: store: the abstract machine treats them as explored in *every*
+    #: pass and never re-runs their clauses.  Normal runs never set this
+    #: (see repro.serve).
     frozen: bool = False
 
 
@@ -70,7 +70,7 @@ class ExtensionTable:
         self.fault_plan = fault_plan
         #: When a set, every key that ``find`` hits or ``entry`` touches
         #: is recorded — the reachability trace used by
-        #: :meth:`restrict_to` (see repro.serve.scheduler).
+        #: :meth:`restrict_to` (see repro.analysis.driver.Analyzer.run).
         self.touched: Optional[set] = None
         #: repro.obs: the hot-site counters are bound once here, so the
         #: per-lookup cost with metrics on is one attribute increment.
@@ -216,7 +216,7 @@ class ExtensionTable:
         self.widenings += other.widenings
 
     # ------------------------------------------------------------------
-    # Serving: seeding from cached summaries, freezing, reachability.
+    # Serving: seeding from cached summaries, thawing, reachability.
     # (Used by repro.serve; a table never seeded behaves exactly as
     # before — frozen stays False and touched stays None.)
 
@@ -250,13 +250,6 @@ class ExtensionTable:
             self._m_frozen.inc()
         entry.frozen = frozen
         return entry
-
-    def freeze(self, entry: TableEntry) -> None:
-        """Mark one entry as a known-final summary."""
-        if not entry.frozen:
-            entry.frozen = True
-            if self._m_frozen is not None:
-                self._m_frozen.inc()
 
     def thaw(self) -> None:
         """Clear every frozen mark (before a full verification sweep)."""

@@ -571,7 +571,8 @@ def _scheduled_attempt(
     sink=None,
     checkpoint_every: Optional[int] = 1,
 ):
-    """One SCC-scheduled analysis attempt under the resume campaign.
+    """One served (:class:`SCCScheduler`) analysis attempt under the
+    resume campaign.
 
     Returns ``(result, passes_run)``; raises :class:`_SimulatedKill`
     when ``kill_at`` passes complete first.  Snapshots go to ``sink``.
@@ -613,7 +614,7 @@ def _scheduled_attempt(
 
 
 def run_resume(
-    kill_every: int = 4,
+    kill_every: int = 1,
     max_attempts: int = 40,
     overhead_rounds: int = 5,
     overhead_limit_pct: float = 5.0,
@@ -623,7 +624,8 @@ def run_resume(
 
     **Main leg** (in-process, all benchmarks): the analysis is killed on
     every ``kill_every``-th fixpoint pass boundary; each retry resumes
-    from the best-ranked surviving snapshot.  Asserted per benchmark:
+    from the surviving snapshot with the largest cursor.  Asserted per
+    benchmark:
 
     * eventual **exact completion** within ``max_attempts``;
     * the resumed result equals the from-scratch ``stable_dict`` —
@@ -633,12 +635,15 @@ def run_resume(
       passes the chain still has to (re-)execute from the snapshot it
       will resume from; that series must be non-increasing.
 
-    Forward progress is banked at component-stabilization granularity
-    (frozen entries); when one component needs more passes than the kill
-    interval allows, the frontier stalls and the campaign doubles the
-    interval for the next attempt — mirroring how a deployment would
-    have to slow its crash cadence for the analysis to ever finish.
-    The ``kill_schedule`` in the report records every escalation.
+    Forward progress is banked per pass, but every attempt ends with a
+    pass that confirms nothing changed.  When a kill lands on that
+    confirming pass, the snapshot's cursor still advances while the
+    work left does not shrink; the campaign then doubles the interval
+    for the next attempt — mirroring how a deployment would have to
+    slow its crash cadence for the analysis to ever finish.  The
+    default interval of 1 makes the kill fire at least twice on every
+    benchmark; the ``kill_schedule`` in the report records every
+    escalation.
 
     **Wire leg**: two benchmarks through a real :class:`Supervisor` —
     the worker SIGKILLs itself mid-fixpoint (``kill_at_iteration``
@@ -649,11 +654,19 @@ def run_resume(
     ``crash-loop`` error after the containment threshold, and an
     ``invalidate`` must lift the quarantine.
 
-    **Overhead leg**: scheduler wall clock with the *default* checkpoint
-    cadence versus no checkpointing, min-over-rounds; the relative
-    overhead must stay under ``overhead_limit_pct``.
+    **Overhead leg**: served-run wall clock with the *default*
+    checkpoint cadence versus no checkpointing, min-over-rounds; the
+    relative overhead must stay under ``overhead_limit_pct``.
     """
     from ..robust import checkpoint as ckpt
+
+    def newest(best: Optional[dict], emitted: List[dict]) -> Optional[dict]:
+        # Keep the largest cursor, exactly as the service's store sink
+        # and the supervisor's wire retention do.
+        for snap in emitted:
+            if ckpt.cursor_iterations(snap) >= ckpt.cursor_iterations(best):
+                best = snap
+        return best
 
     violations: List[str] = []
     benchmarks_report: List[dict] = []
@@ -663,42 +676,36 @@ def run_resume(
         best: Optional[dict] = None
         m = kill_every
         attempts = 0
+        kills = 0
         status = None
         kill_schedule: List[int] = []
         reexecuted: List[int] = []
-        frontier: List[int] = []
+        cursors: List[int] = []
         while attempts < max_attempts:
             attempts += 1
             kill_schedule.append(m)
             emitted: List[dict] = []
-            frozen_before = ckpt.frozen_entries(best)
             try:
                 result, passes = _scheduled_attempt(
                     benchmark, resume=best, kill_at=m, sink=emitted.append
                 )
             except _SimulatedKill:
-                # Only snapshots emitted before the kill survive; keep
-                # the best-ranked one, exactly as the service's store
-                # sink and the supervisor's wire retention do.
-                for snap in emitted:
-                    if ckpt.snapshot_rank(snap) >= ckpt.snapshot_rank(best):
-                        best = snap
-                frozen_now = ckpt.frozen_entries(best)
-                frontier.append(frozen_now)
+                # Only snapshots emitted before the kill survive.
+                kills += 1
+                best = newest(best, emitted)
+                cursors.append(ckpt.cursor_iterations(best))
                 # The completion probe: how much work would a retry
                 # still (re-)execute from here?  Side-effect-free.
                 _, probe = _scheduled_attempt(benchmark, resume=best)
+                left_before = reexecuted[-1] if reexecuted else scratch_passes
                 reexecuted.append(probe)
-                if frozen_now <= frozen_before:
-                    # The in-flight component needs more than m passes:
-                    # no kill cadence this fast can ever finish it, so
-                    # escalate (documented forward-progress granularity).
+                if probe >= left_before:
+                    # The kill landed on a confirming pass: no cadence
+                    # this fast can ever finish, so escalate.
                     m *= 2
                 continue
-            for snap in emitted:
-                if ckpt.snapshot_rank(snap) >= ckpt.snapshot_rank(best):
-                    best = snap
-            frontier.append(ckpt.frozen_entries(best))
+            best = newest(best, emitted)
+            cursors.append(ckpt.cursor_iterations(best))
             reexecuted.append(passes)
             status = (
                 "exact"
@@ -710,6 +717,12 @@ def run_resume(
             violations.append(
                 f"resume: {benchmark.name}: status {status!r} after "
                 f"{attempts} attempts (kill schedule {kill_schedule})"
+            )
+        if kills < 2:
+            violations.append(
+                f"resume: {benchmark.name}: the kill fired {kills} "
+                f"time(s), not at least twice (kill schedule "
+                f"{kill_schedule})"
             )
         if any(
             reexecuted[index + 1] > reexecuted[index]
@@ -723,10 +736,11 @@ def run_resume(
             "name": benchmark.name,
             "scratch_passes": scratch_passes,
             "attempts": attempts,
+            "kills": kills,
             "status": status,
             "kill_schedule": kill_schedule,
             "reexecuted_iterations": reexecuted,
-            "frozen_frontier": frontier,
+            "cursor": cursors,
         })
 
     wire = _run_resume_wire(violations)
@@ -776,7 +790,7 @@ def _run_resume_wire(violations: List[str]) -> dict:
                     "op": "analyze",
                     "text": benchmark.source,
                     "entries": [benchmark.entry],
-                    "_chaos": {"kill_at_iteration": 5},
+                    "_chaos": {"kill_at_iteration": 1},
                 })
                 entry = {
                     "name": benchmark.name,
@@ -978,9 +992,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="shards in the gateway campaign (default 2)",
     )
     parser.add_argument(
-        "--resume-kill-every", type=int, default=4,
+        "--resume-kill-every", type=int, default=1,
         help="kill interval (fixpoint passes) for the resume campaign "
-        "(default 4; 0 skips it)",
+        "(default 1; 0 skips it)",
     )
     arguments = parser.parse_args(argv)
     document = run(

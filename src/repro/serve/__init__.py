@@ -3,8 +3,8 @@
 Turns the one-shot analyzer into a long-lived, cache-backed service:
 content-addressed fingerprints (:mod:`~repro.serve.fingerprint`), a
 predicate call graph with Merkle SCC fingerprints
-(:mod:`~repro.serve.callgraph`), a bottom-up SCC-scheduled fixpoint
-(:mod:`~repro.serve.scheduler`), a self-healing capped result store
+(:mod:`~repro.serve.callgraph`), the driver's fixpoint seeded with
+clean components' stored summaries (:mod:`~repro.serve.scheduler`), a self-healing capped result store
 (:mod:`~repro.serve.store`), the request loop itself
 (:mod:`~repro.serve.service`), crash isolation — a supervised
 worker-subprocess pool (:mod:`~repro.serve.pool`) fronted by retry and

@@ -9,8 +9,10 @@ predicates with real calls) and ignores builtins, which compile to
 
 The condensation (Tarjan, iterative) yields the strongly connected
 components in **bottom-up order**: every component appears after the
-components it calls.  The scheduler analyzes components in that order, so
-each component's summaries are complete before any caller needs them.
+components it calls.  The Merkle fingerprints below are computed in
+that order, so every callee's fingerprint exists before its callers'.
+The service stores and seeds analysis summaries per component; the
+fixpoint itself is the driver's, run over the whole entry.
 
 Each SCC carries a *Merkle fingerprint*: a digest of its member
 predicates' content fingerprints plus the fingerprints of the SCCs it

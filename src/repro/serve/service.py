@@ -9,10 +9,11 @@ and degradation status.  The serving invariant:
     **Served results are the results a from-scratch ``analyze()`` of the
     current program text would produce.**  The cache can only make
     answers faster, never different: full-result hits are keyed by
-    fingerprints covering everything the analysis depends on, and
-    partially-seeded runs end with a thawed verification sweep that
-    recomputes anything a stale summary could have influenced (see
-    :mod:`repro.serve.scheduler`).
+    fingerprints covering everything the analysis depends on, every
+    miss runs the driver's own fixpoint (a cold miss does exactly the
+    work of ``analyze()``), and seeded runs end with a thawed
+    verification sweep that recomputes anything a stale summary could
+    have influenced (see :mod:`repro.serve.scheduler`).
 
 Request protocol (JSON object per line on stdin, response per line on
 stdout; see docs/serve.md):
@@ -241,7 +242,7 @@ class AnalysisService:
         if cached is not None:
             # The tracer can change between requests (workers swap in a
             # per-request tracer); keep the memoized analyzer in sync so
-            # cached programs still emit entry_spec/scc spans.
+            # cached programs still emit entry_spec spans.
             cached[1].tracer = self.tracer
             return cached
         analyzer = Analyzer(
@@ -328,15 +329,12 @@ class AnalysisService:
                 None,
             )
         # ---- resume from the best valid checkpoint --------------------
-        # Two sources, best snapshot_rank wins: one attached to the
-        # request (the supervisor replays the best snapshot a crashed
-        # worker shipped up the wire) and one in the durable store
-        # (survives every worker in the pool dying).  Rank is
-        # (frozen, cursor), not cursor alone: the verification phase
-        # thaws the table, so the newest snapshot can carry less durable
-        # progress than an earlier stabilization-boundary one.  Both
-        # sources are best-effort: an invalid snapshot is ignored and
-        # counted, never an error.
+        # Two sources, largest cursor wins: one attached to the request
+        # (the supervisor replays the newest snapshot a crashed worker
+        # shipped up the wire) and one in the durable store (survives
+        # every worker in the pool dying).  Both sources are
+        # best-effort: an invalid snapshot is ignored and counted, never
+        # an error.
         from ..robust import checkpoint as ckpt
 
         checkpoint_key = f"{self.store.CHECKPOINT_PREFIX}{request_fp}"
@@ -353,7 +351,8 @@ class AnalysisService:
             )
             if loaded is not None and (
                 resume is None
-                or ckpt.snapshot_rank(loaded) > ckpt.snapshot_rank(resume)
+                or ckpt.cursor_iterations(loaded)
+                > ckpt.cursor_iterations(resume)
             ):
                 resume = loaded
         resume_base = ckpt.cursor_iterations(resume) if resume else 0
@@ -366,15 +365,7 @@ class AnalysisService:
             kill_at = self.kill_at_iteration
 
             def checkpoint_sink(snap: dict) -> None:
-                # Overwrite the durable snapshot only when the new one
-                # ranks at least as high — a thawed verification-phase
-                # snapshot must not clobber the frozen frontier an
-                # earlier stabilization-boundary snapshot banked.
-                held = self.store.get_checkpoint(checkpoint_key)
-                if held is None or (
-                    ckpt.snapshot_rank(snap) >= ckpt.snapshot_rank(held)
-                ):
-                    self.store.put_checkpoint(checkpoint_key, snap)
+                self.store.put_checkpoint(checkpoint_key, snap)
                 if self.checkpoint_wire_sink is not None:
                     self.checkpoint_wire_sink(snap)
 
@@ -399,7 +390,7 @@ class AnalysisService:
                 metrics=self.metrics,
                 on_pass=on_pass if kill_at is not None else None,
             )
-        # ---- run the SCC-scheduled fixpoint ---------------------------
+        # ---- run the seeded fixpoint ----------------------------------
         scheduler = SCCScheduler(analyzer, graph)
         result, stats = scheduler.analyze(
             specs,

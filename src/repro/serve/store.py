@@ -29,7 +29,7 @@ The disk layer is **self-healing**: every entry file carries a SHA-256
 checksum of its canonical value text, verified on load; corrupt, torn
 or unreadable files are moved to a ``quarantine/`` subdirectory (never
 propagated to the caller — a quarantined entry is a cache miss, and
-soundness rests on the scheduler's verification sweep anyway, so the
+soundness rests on the seeded run's verification sweep anyway, so the
 cost is only performance).  With ``journal=True`` a write-ahead journal
 (``journal.jsonl``) records each put before the entry file is written;
 on startup the journal is replayed — entries whose files are missing or

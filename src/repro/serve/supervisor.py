@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..robust import FaultPlan
-from ..robust.checkpoint import cursor_iterations, snapshot_rank
+from ..robust.checkpoint import cursor_iterations
 from .pool import WorkerCrashed, WorkerPool, WorkerTimeout
 from .service import ServiceConfig
 from .worker import config_to_wire
@@ -276,20 +276,14 @@ class Supervisor:
             "serve.worker.requests", op=str(request.get("op", "analyze"))
         ).inc()
 
-        # Forward-progress clock, advanced by *every* interim snapshot
-        # (even ones retention rejects): crash-loop detection must see
-        # the cursor move when the attempt covered new ground, while
-        # retention keeps the best-*ranked* snapshot — a thawed
-        # verification-phase snapshot advances the clock but must not
-        # clobber a frozen-frontier snapshot already held.
-        progress = {"cursor": cursor_iterations(self._resume.get(key))}
-
+        # Retention keeps the snapshot with the largest cursor; its
+        # cursor is the forward-progress clock crash-loop detection
+        # watches.
         def note_interim(line: dict) -> None:
             snap = line.get("checkpoint")
-            cursor = cursor_iterations(snap)
-            if cursor > progress["cursor"]:
-                progress["cursor"] = cursor
-            if snapshot_rank(snap) >= snapshot_rank(self._resume.get(key)):
+            if cursor_iterations(snap) >= cursor_iterations(
+                self._resume.get(key)
+            ):
                 self._resume[key] = snap
 
         while True:
@@ -298,7 +292,7 @@ class Supervisor:
             if snapshot is not None:
                 payload["resume"] = snapshot
                 self.metrics.counter("resume.wire_attached").inc()
-            cursor_before = progress["cursor"]
+            cursor_before = cursor_iterations(snapshot)
             slot, worker = self.pool.checkout()
             tracer = self.tracer
             if tracer is not None:
@@ -341,7 +335,7 @@ class Supervisor:
                 self.pool.report_crash(slot)
                 # An injected kill fired; the retry must run clean.
                 payload.pop("_chaos", None)
-                if progress["cursor"] > cursor_before:
+                if cursor_iterations(self._resume.get(key)) > cursor_before:
                     # The crashed attempt still moved the fixpoint
                     # forward — that is not a loop, it is progress.
                     self._strikes[key] = 0

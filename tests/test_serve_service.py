@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.analysis.driver import Analyzer, parse_entry_spec
+from repro.bench.programs import BENCHMARKS
 from repro.errors import BudgetExceeded
 from repro.prolog.program import Program
 from repro.robust import Budget, FaultPlan
@@ -35,6 +36,10 @@ append([H|T], L, [H|R]) :- append(T, L, R).
 
 ENTRY = "nrev(glist, var)"
 
+#: Passes a cold analysis of NREV from ENTRY takes; one fewer is a
+#: budget no cold request can finish in.
+COLD_PASSES = Analyzer(Program.from_text(NREV)).analyze([ENTRY]).iterations
+
 
 def _scratch(text, entries):
     return Analyzer(Program.from_text(text)).analyze(entries).stable_dict()
@@ -53,7 +58,31 @@ def test_scheduler_matches_driver_without_seeds():
     result, stats = SCCScheduler(analyzer).analyze([parse_entry_spec(ENTRY)])
     assert result.stable_dict() == _scratch(NREV, [ENTRY])
     assert result.status == "exact"
-    assert stats.sccs_stabilized >= 1
+
+
+@pytest.mark.parametrize(
+    "text, entries",
+    [
+        pytest.param(b.source, [b.entry], id=b.name) for b in BENCHMARKS
+    ] + [
+        pytest.param(
+            NREV + "\nmain :- nrev([1,2], R).\n",
+            ["main", ENTRY, "append(glist, glist, var)"],
+            id="three-entries",
+        ),
+    ],
+)
+def test_cold_request_does_the_bare_analyzers_work(text, entries):
+    # A cold served request runs the driver's Kleene loop and nothing
+    # else: the same passes, the same instructions, the same answer.
+    bare = Analyzer(Program.from_text(text)).analyze(entries)
+    response = _service().handle(
+        {"op": "analyze", "text": text, "entries": entries}
+    )
+    assert response["cache"]["outcome"] == MISS
+    assert response["timing"]["iterations"] == bare.iterations
+    assert response["timing"]["instructions"] == bare.instructions_executed
+    assert response["result"] == bare.stable_dict()
 
 
 def test_scheduler_matches_driver_multiple_entries():
@@ -190,9 +219,11 @@ def test_budget_exhaustion_in_one_request_does_not_leak():
     # checkpoint_every=None isolates the budget-accounting contract;
     # with checkpointing on, the second request would legitimately
     # resume and finish (see test below).
-    service = _service(budget=Budget(max_iterations=4), checkpoint_every=None)
+    service = _service(
+        budget=Budget(max_iterations=COLD_PASSES - 1), checkpoint_every=None
+    )
     first = service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
-    assert first["status"] == "degraded"  # 4 iterations is not enough cold
+    assert first["status"] == "degraded"  # not enough iterations cold
     again = service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
     # the second request gets its own allowance, not the leftovers
     assert again["status"] == "degraded"
@@ -204,7 +235,9 @@ def test_budget_trips_make_cumulative_progress_via_checkpoints():
     # progress: repeated identical requests under the same insufficient
     # per-request budget eventually complete exactly — and the exact
     # result equals a from-scratch run.
-    service = _service(budget=Budget(max_iterations=4), checkpoint_every=1)
+    service = _service(
+        budget=Budget(max_iterations=COLD_PASSES - 1), checkpoint_every=1
+    )
     request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
     statuses = []
     for _ in range(8):
