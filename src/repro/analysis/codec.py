@@ -102,14 +102,18 @@ def entry_from_json(data) -> Tuple[Indicator, Pattern, Optional[Pattern], Frozen
     return indicator, calling, success, may_share
 
 
-def table_to_json(table: ExtensionTable, indicators=None) -> List[dict]:
-    """Serialize a table (or the entries of ``indicators`` only), sorted
+def table_to_json(
+    table: ExtensionTable, indicators=None, keys=None
+) -> List[dict]:
+    """Serialize a table (or the entries of ``indicators`` only, and of
+    those only the ``(indicator, calling)`` pairs in ``keys``), sorted
     for deterministic output."""
     wanted = set(indicators) if indicators is not None else None
     entries = [
         entry_to_json(indicator, entry)
         for indicator, entry in table.all_entries()
-        if wanted is None or indicator in wanted
+        if (wanted is None or indicator in wanted)
+        and (keys is None or (indicator, entry.calling) in keys)
     ]
     entries.sort(key=lambda item: (item["predicate"], json.dumps(item["calling"])))
     return entries

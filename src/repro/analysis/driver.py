@@ -196,6 +196,9 @@ class EntryReport:
     resume_planted: int = 0
     verification_passes: int = 0
     seeds_dropped: int = 0
+    #: The (indicator, calling) keys the converged pass reached (exact
+    #: specs only): what the result store keeps as summaries.
+    touched: Optional[set] = None
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -374,6 +377,9 @@ class Analyzer:
         re-run the entry until nothing changes, and restrict the table
         to the keys the last pass reached.  A wrong seed is therefore
         re-explored and corrected: it can cost passes, never answers.
+        Each exact spec's :attr:`EntryReport.touched` holds the keys its
+        last pass reached; an unseeded spec reads them off the entries
+        that pass explored, untraced, and keeps its table whole.
 
         ``checkpoint`` is an optional
         :class:`~repro.robust.checkpoint.CheckpointPolicy`: it is
@@ -440,6 +446,15 @@ class Analyzer:
                     report.seeds_dropped = spec_table.restrict_to(
                         spec_table.touched
                     )
+                    report.touched = spec_table.touched
+                else:
+                    # Unfrozen, a table's entries reached in a pass are
+                    # exactly those explored in it.
+                    report.touched = {
+                        (indicator, entry.calling)
+                        for indicator, entry in spec_table.all_entries()
+                        if entry.explored_iteration == machine.iteration
+                    }
             except (BudgetExceeded, InjectedFault) as exc:
                 if on_budget == "raise":
                     if tracer is not None:

@@ -38,6 +38,11 @@ from .tokenizer import Token, tokenize
 #: or a list), where a bare ``,`` separates arguments.
 ARG_PRIORITY = 999
 
+#: The standard table a parser given none reads.  A parser never writes
+#: its table; only ``op/3`` directives do, through the table the reader
+#: functions below create per program text.
+_STANDARD_OPERATORS = OperatorTable()
+
 
 class Parser:
     """Parses one token stream against an operator table."""
@@ -45,7 +50,9 @@ class Parser:
     def __init__(self, tokens: List[Token], operators: Optional[OperatorTable] = None):
         self.tokens = tokens
         self.index = 0
-        self.operators = operators if operators is not None else OperatorTable()
+        self.operators = (
+            operators if operators is not None else _STANDARD_OPERATORS
+        )
         self.var_map: Dict[str, Var] = {}
         #: (line, column) of the first token of the last clause read.
         self.clause_position: Optional[Tuple[int, int]] = None

@@ -30,10 +30,12 @@ a healthier budget must recompute, not inherit imprecision.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.driver import Analyzer, parse_entry_spec
 from ..errors import ReproError
@@ -60,6 +62,9 @@ from .store import (
 HIT = "hit"           # full-result fingerprint match; no fixpoint ran
 INCREMENTAL = "incremental"  # some SCC summaries reused, rest recomputed
 MISS = "miss"         # nothing reusable
+
+#: Programs the prepared-program memo holds (least recently used out).
+PREPARED_MEMO_SIZE = 64
 
 
 @dataclass
@@ -119,9 +124,9 @@ class AnalysisService:
             metrics=self.metrics,
         )
         self.requests_served = 0
-        #: (program_fp, config knobs) → (Analyzer, CallGraph, merkle fps,
-        #: predicate fps); compiling is itself worth caching.
-        self._compiled: Dict[str, Tuple] = {}
+        #: SHA-256 of a program text → (Program, Analyzer, CallGraph,
+        #: Merkle fps): an LRU, so a warm request skips the parser.
+        self._prepared: "OrderedDict[bytes, Tuple]" = OrderedDict()
         #: Extra checkpoint sink: the worker loop points this at stdout
         #: so every snapshot also reaches the supervisor as an interim
         #: wire line (resume-on-retry survives the worker's death even
@@ -189,7 +194,7 @@ class AnalysisService:
             return {"ok": True, "metrics": self.metrics.snapshot()}
         if op == "invalidate":
             self.store.clear()
-            self._compiled.clear()
+            self._prepared.clear()
             return {"ok": True, "invalidated": True}
         if op == "shutdown":
             return {"ok": True, "shutdown": True}
@@ -225,26 +230,24 @@ class AnalysisService:
         return None
 
     def _prepare(self, text: str):
-        """Parse, compile and fingerprint; memoized per program text
-        fingerprint (the parse) and program fingerprint (the rest)."""
-        config = self.config
-        program = (
-            with_library(text) if config.library else Program.from_text(text)
-        )
-        fps = predicate_fingerprints(program)
-        from .fingerprint import _hash
-
-        program_key = _hash(
-            ["prepared"]
-            + sorted(f"{i[0]}/{i[1]}:{fp}" for i, fp in fps.items())
-        )
-        cached = self._compiled.get(program_key)
+        """Parse, compile and fingerprint ``text``, memoized by the
+        SHA-256 of the text: a warm request hashes its text and runs
+        neither the parser nor the predicate fingerprints.  ``library``
+        is server-wide, so one text always prepares to one program."""
+        key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+        memo = self._prepared
+        cached = memo.get(key)
         if cached is not None:
+            memo.move_to_end(key)
             # The tracer can change between requests (workers swap in a
             # per-request tracer); keep the memoized analyzer in sync so
             # cached programs still emit entry_spec spans.
             cached[1].tracer = self.tracer
             return cached
+        config = self.config
+        program = (
+            with_library(text) if config.library else Program.from_text(text)
+        )
         analyzer = Analyzer(
             program,
             options=CompilerOptions(
@@ -258,11 +261,11 @@ class AnalysisService:
             tracer=self.tracer,
         )
         graph = CallGraph.from_compiled(analyzer.compiled)
-        merkle = graph.merkle_fingerprints(fps)
+        merkle = graph.merkle_fingerprints(predicate_fingerprints(program))
         prepared = (program, analyzer, graph, merkle)
-        if len(self._compiled) > 64:  # a small bounded memo, LRU-ish
-            self._compiled.pop(next(iter(self._compiled)))
-        self._compiled[program_key] = prepared
+        memo[key] = prepared
+        if len(memo) > PREPARED_MEMO_SIZE:
+            memo.popitem(last=False)
         return prepared
 
     def _config_fp(self) -> str:
@@ -278,22 +281,25 @@ class AnalysisService:
     # ------------------------------------------------------------------
 
     def _analyze(self, request: dict) -> dict:
-        response, _ = self._analyze_core(request, need_live=False)
+        response, _, _ = self._analyze_core(request, need_live=False)
         return response
 
     def _analyze_core(self, request: dict, need_live: bool):
         """The shared analyze path.
 
-        Returns ``(response, live_result)``; ``live_result`` is the
-        in-process :class:`AnalysisResult` when the fixpoint actually ran
-        (or when ``need_live`` forces a seeded run on a full-result hit —
-        seeded means zero re-iteration of clean components), else None.
+        Returns ``(response, live_result, prepared)``; ``live_result`` is
+        the in-process :class:`AnalysisResult` when the fixpoint actually
+        ran (or when ``need_live`` forces a seeded run on a full-result
+        hit — seeded means zero re-iteration of clean components), else
+        None; ``prepared`` is the ``(program, analyzer, graph, merkle)``
+        the request was answered from.
         """
         text = self._load_text(request)
         entries = request.get("entries")
         if not entries:
             raise ValueError("request needs non-empty 'entries'")
-        program, analyzer, graph, merkle = self._prepare(text)
+        prepared = self._prepare(text)
+        _, analyzer, graph, merkle = prepared
         specs = [parse_entry_spec(entry) for entry in entries]
         config_fp = self._config_fp()
         entry_fps = [entry_fingerprint(spec) for spec in specs]
@@ -301,17 +307,8 @@ class AnalysisService:
         request_fp = request_fingerprint(
             config_fp, entry_fps, [merkle[i] for i in reachable]
         )
-        # ---- gather seeds from clean SCC summaries --------------------
-        seeds: List[Seed] = []
-        seeded_sccs = 0
-        for scc_index in reachable:
-            stored = self.store.get(f"scc:{merkle[scc_index]}:{config_fp}")
-            if stored is None:
-                continue
-            seeded_sccs += 1
-            for item in stored["entries"]:
-                seeds.append(entry_from_json(item))
-        # ---- full-result hit: no fixpoint at all ----------------------
+        scc_keys = [f"scc:{merkle[i]}:{config_fp}" for i in reachable]
+        # ---- full-result hit: no fixpoint, no seed decoding -----------
         cached = None if need_live else self.store.get(f"result:{request_fp}")
         if cached is not None:
             self.metrics.counter("serve.cache", outcome=HIT).inc()
@@ -323,11 +320,24 @@ class AnalysisService:
                     "cache": {
                         "outcome": HIT,
                         "sccs_total": len(reachable),
-                        "sccs_seeded": seeded_sccs,
+                        "sccs_seeded": sum(
+                            key in self.store for key in scc_keys
+                        ),
                     },
                 },
                 None,
+                prepared,
             )
+        # ---- gather seeds from clean SCC summaries --------------------
+        seeds: List[Seed] = []
+        seeded_sccs = 0
+        for key in scc_keys:
+            stored = self.store.get(key)
+            if stored is None:
+                continue
+            seeded_sccs += 1
+            for item in stored["entries"]:
+                seeds.append(entry_from_json(item))
         # ---- resume from the best valid checkpoint --------------------
         # Two sources, largest cursor wins: one attached to the request
         # (the supervisor replays the newest snapshot a crashed worker
@@ -410,16 +420,21 @@ class AnalysisService:
         # ---- store (exact results only) -------------------------------
         if result.status == "exact":
             self.store.put(f"result:{request_fp}", stable)
+            # Summaries are what the converged passes reached: calling
+            # patterns only an earlier pass met would be stale seeds.
+            reached = set().union(
+                *(report.touched for report in result.entry_reports)
+            )
             dirty_sccs = {
                 owner
-                for indicator, _ in result.table.all_entries()
+                for indicator, _ in reached
                 if (owner := graph.scc_of.get(indicator)) is not None
             }
             for scc_index in dirty_sccs:
                 self.store.put(
                     f"scc:{merkle[scc_index]}:{config_fp}",
                     {"entries": table_to_json(
-                        result.table, graph.members(scc_index)
+                        result.table, graph.members(scc_index), reached
                     )},
                 )
         response = {
@@ -438,7 +453,7 @@ class AnalysisService:
                 "schedule": stats.to_dict(),
             },
         }
-        return response, result
+        return response, result, prepared
 
     # ------------------------------------------------------------------
 
@@ -452,11 +467,12 @@ class AnalysisService:
         from ..lint import lint_source, verify_compiled
         from ..lint.diagnostics import LintReport
 
-        analysis, result = self._analyze_core(request, need_live=True)
+        analysis, result, prepared = self._analyze_core(
+            request, need_live=True
+        )
         if not analysis.get("ok") or result is None:
             return analysis
-        text = self._load_text(request)
-        program, analyzer, graph, merkle = self._prepare(text)
+        program, analyzer, _, _ = prepared
         report = LintReport()
         file_name = request.get("file", "?")
         report.extend(verify_compiled(analyzer.compiled, file=file_name))
@@ -475,7 +491,7 @@ class AnalysisService:
         return {
             "requests_served": self.requests_served,
             "store": self.store.stats(),
-            "programs_prepared": len(self._compiled),
+            "programs_prepared": len(self._prepared),
             "metrics": self.metrics.snapshot(),
         }
 

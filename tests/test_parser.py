@@ -188,6 +188,20 @@ class TestReadTerms:
         read_terms(":- op(700, xfx, ~~).", table)
         assert parse_term("a ~~ b", table).name == "~~"
 
+    def test_op_directive_does_not_leak_into_parse_term(self):
+        # parse_term without a table shares the standard one; a
+        # program's op/3 directive must not reach it.
+        from repro.prolog.program import Program
+
+        Program.from_text(
+            ":- op(700, xfx, ~~).\n:- op(700, xfy, =).\np(a ~~ b).\np(c = d = e)."
+        )
+        for parse in (parse_term, parse_term_with_vars):
+            with pytest.raises(PrologSyntaxError):
+                parse("a ~~ b")
+            with pytest.raises(PrologSyntaxError):
+                parse("a = b = c")
+
 
 class TestReadTermsWithPositions:
     def test_positions_track_first_token(self):

@@ -16,6 +16,7 @@ from repro.bench.programs import BENCHMARKS
 from repro.errors import BudgetExceeded
 from repro.prolog.program import Program
 from repro.robust import Budget, FaultPlan
+import repro.serve.service as service_module
 from repro.serve import (
     HIT,
     INCREMENTAL,
@@ -26,6 +27,7 @@ from repro.serve import (
     run_batch,
     serve_loop,
 )
+from repro.serve.service import PREPARED_MEMO_SIZE
 
 NREV = """
 nrev([], []).
@@ -292,6 +294,200 @@ def test_disk_store_survives_service_restart(tmp_path):
         {"op": "analyze", "text": NREV, "entries": [ENTRY]}
     )
     assert response["cache"]["outcome"] == HIT
+
+
+# ----------------------------------------------------------------------
+# The prepared-program memo: a warm hit costs a text hash, not a parse.
+
+
+@pytest.fixture
+def front_end_calls(monkeypatch):
+    """Counts program parses and predicate-fingerprint runs."""
+    calls = {"parse": 0, "fingerprint": 0}
+    from_text = Program.from_text
+    fingerprints = service_module.predicate_fingerprints
+
+    def counting_from_text(*args, **kwargs):
+        calls["parse"] += 1
+        return from_text(*args, **kwargs)
+
+    def counting_fingerprints(*args, **kwargs):
+        calls["fingerprint"] += 1
+        return fingerprints(*args, **kwargs)
+
+    monkeypatch.setattr(Program, "from_text", staticmethod(counting_from_text))
+    monkeypatch.setattr(
+        service_module, "predicate_fingerprints", counting_fingerprints
+    )
+    return calls
+
+
+@pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
+def test_warm_hit_runs_no_parse_and_no_fingerprint(bench, front_end_calls):
+    service = _service()
+    request = {"op": "analyze", "text": bench.source, "entries": [bench.entry]}
+    service.handle(dict(request))
+    assert front_end_calls == {"parse": 1, "fingerprint": 1}
+    warm = service.handle(dict(request))
+    assert warm["cache"]["outcome"] == HIT
+    assert front_end_calls == {"parse": 1, "fingerprint": 1}
+
+
+def test_warm_hit_response_is_byte_identical():
+    # Answered from the memo or after a fresh parse, a hit is the same
+    # bytes: sccs_seeded counts stored summaries without decoding them.
+    service = _service()
+    request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
+    service.handle(dict(request))
+
+    def hit():
+        response = service.handle(dict(request))
+        del response["elapsed_ms"]
+        return json.dumps(response, sort_keys=True)
+
+    from_memo = hit()
+    service._prepared.clear()
+    assert hit() == from_memo
+    assert json.loads(from_memo) == {
+        "ok": True,
+        "op": "analyze",
+        "status": "exact",
+        "result": _scratch(NREV, [ENTRY]),
+        "cache": {"outcome": HIT, "sccs_total": 2, "sccs_seeded": 2},
+    }
+
+
+def test_warm_hit_gets_no_scc_summary(monkeypatch):
+    service = _service()
+    request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
+    service.handle(dict(request))
+    keys = []
+    get = service.store.get
+
+    def recording_get(key):
+        keys.append(key)
+        return get(key)
+
+    monkeypatch.setattr(service.store, "get", recording_get)
+    assert service.handle(dict(request))["cache"]["outcome"] == HIT
+    assert keys and not [key for key in keys if key.startswith("scc:")]
+
+
+def test_prepared_memo_is_an_lru_of_64(front_end_calls):
+    service = _service()
+
+    def ask(i):
+        response = service.handle(
+            {"op": "analyze", "text": f"p{i}(a).", "entries": [f"p{i}(var)"]}
+        )
+        assert response["ok"]
+
+    for i in range(64):
+        ask(i)
+    ask(0)   # the oldest insert, just used
+    ask(64)  # the 65th distinct text evicts p1, not p0
+    assert service.stats()["programs_prepared"] == PREPARED_MEMO_SIZE == 64
+    parses = front_end_calls["parse"]
+    ask(0)
+    assert front_end_calls["parse"] == parses
+    ask(1)
+    assert front_end_calls["parse"] == parses + 1
+
+
+def test_invalidate_empties_the_prepared_memo(front_end_calls):
+    service = _service()
+    request = {"op": "analyze", "text": NREV, "entries": [ENTRY]}
+    service.handle(dict(request))
+    assert service.handle({"op": "invalidate"})["invalidated"]
+    assert service.stats()["programs_prepared"] == 0
+    assert service.handle(dict(request))["cache"]["outcome"] == MISS
+    assert front_end_calls["parse"] == 2
+
+
+def test_library_program_warm_hit_runs_no_parse(front_end_calls):
+    service = _service(library=True)
+    request = {
+        "op": "analyze",
+        "text": "main(L) :- append([a], [b], L).\n",
+        "entries": ["main(var)"],
+    }
+    assert service.handle(dict(request))["cache"]["outcome"] == MISS
+    parses = front_end_calls["parse"]
+    assert service.handle(dict(request))["cache"]["outcome"] == HIT
+    assert front_end_calls["parse"] == parses
+
+
+def test_comment_only_edit_misses_the_memo_but_hits_the_store(
+    front_end_calls,
+):
+    service = _service()
+    service.handle({"op": "analyze", "text": NREV, "entries": [ENTRY]})
+    response = service.handle(
+        {"op": "analyze", "text": "% a comment\n" + NREV, "entries": [ENTRY]}
+    )
+    assert front_end_calls["parse"] == 2
+    assert response["cache"]["outcome"] == HIT
+    assert response["result"] == _scratch(NREV, [ENTRY])
+
+
+def test_lint_checks_the_program_it_analyzed(tmp_path, monkeypatch):
+    # The file is rewritten after the analysis: the lint rules must
+    # still see the analyzed program, not the new text.
+    path = tmp_path / "p.pl"
+    path.write_text(NREV)
+    analyze_core = AnalysisService._analyze_core
+
+    def analyze_then_rewrite(self, request, need_live):
+        answer = analyze_core(self, request, need_live)
+        path.write_text(NREV + "nrev(X, Y) :- Z = 1.\n")
+        return answer
+
+    monkeypatch.setattr(AnalysisService, "_analyze_core", analyze_then_rewrite)
+    response = _service(on_undefined="top").handle(
+        {"op": "lint", "file": str(path), "entries": [ENTRY]}
+    )
+    assert response["ok"]
+    assert response["lint"]["diagnostics"] == []
+
+
+# ----------------------------------------------------------------------
+# SCC summaries: what a cold request stores as seeds.
+
+
+@pytest.mark.parametrize("name, stored", [("nreverse", 3), ("serialise", 9)])
+def test_cold_request_stores_only_converged_summaries(name, stored):
+    # The cold table also holds calling patterns only an early pass met;
+    # they are not stored as seeds, and the served table stays whole.
+    bench = next(b for b in BENCHMARKS if b.name == name)
+    service = _service()
+    response = service.handle(
+        {"op": "analyze", "text": bench.source, "entries": [bench.entry]}
+    )
+    summaries = [
+        service.store.get(key)
+        for key in list(service.store._data)
+        if key.startswith("scc:")
+    ]
+    assert sum(len(summary["entries"]) for summary in summaries) == stored
+    bare = Analyzer(Program.from_text(bench.source)).analyze([bench.entry])
+    assert len(bare.table) > stored
+    assert response["result"] == bare.stable_dict()
+
+
+@pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
+def test_incremental_answer_after_a_cold_request(bench):
+    from repro.bench.emit import _edit
+
+    service = _service()
+    service.handle(
+        {"op": "analyze", "text": bench.source, "entries": [bench.entry]}
+    )
+    edited = _edit(bench.source, bench.entry)
+    response = service.handle(
+        {"op": "analyze", "text": edited, "entries": [bench.entry]}
+    )
+    assert response["cache"]["outcome"] == INCREMENTAL
+    assert response["result"] == _scratch(edited, [bench.entry])
 
 
 # ----------------------------------------------------------------------
